@@ -62,6 +62,9 @@ func (r *run) start(tag string, flags ...string) (*server, error) {
 	cmd := exec.Command(r.ccserved, append([]string{"-addr", addr}, flags...)...)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
+	// If the benchmark dies on a path that skips procSet.killAll (a
+	// panic, SIGKILL), the kernel still kills the server.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("start ccserved: %w", err)
 	}
